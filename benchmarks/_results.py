@@ -1,11 +1,9 @@
-"""Benchmark gate results: canonical location + repo-root mirror.
+"""Benchmark gate results, one ``BENCH_<name>.json`` per gate.
 
 Each perf gate serializes one JSON document describing its workload,
-measurements, and the threshold it enforces. The canonical copy lives in
-``benchmarks/results/BENCH_<name>.json``; a mirror is written to the
-repository root as ``BENCH_<name>.json`` so the current numbers are
-discoverable without digging into the tree (and show up directly in the
-repository listing alongside README.md).
+measurements, and the threshold it enforces. The one copy lives at the
+repository root, so the current numbers sit in the repository listing
+alongside README.md.
 
 Kept out of ``conftest.py`` so benchmark modules can import it plainly
 (pytest imports conftest files under mangled module names).
@@ -16,20 +14,13 @@ from __future__ import annotations
 import json
 import pathlib
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
-__all__ = ["RESULTS_DIR", "REPO_ROOT", "write_bench_result"]
+__all__ = ["REPO_ROOT", "write_bench_result"]
 
 
 def write_bench_result(name: str, document: dict) -> pathlib.Path:
-    """Write ``BENCH_<name>.json`` to results/ and mirror it at repo root.
-
-    Returns the canonical (results/) path.
-    """
-    payload = json.dumps(document, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    canonical = RESULTS_DIR / f"BENCH_{name}.json"
-    canonical.write_text(payload)
-    (REPO_ROOT / f"BENCH_{name}.json").write_text(payload)
-    return canonical
+    """Write ``BENCH_<name>.json`` at the repository root; return its path."""
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    return path

@@ -5,7 +5,7 @@ scalar ``assign()`` loop by at least 10x on the reference workload
 (10k points x 100 seeds) while returning bit-identical assignments and
 identical computed/pruned totals under identically seeded RNGs — both
 facts are asserted here and recorded in
-``benchmarks/results/BENCH_assignment_batch.json`` so the engine's perf
+``BENCH_assignment_batch.json`` (repository root) so the engine's perf
 trajectory and its equivalence guarantee stay visible across PRs.
 
 Methodology: best-of-N wall-clock (min, the least noisy estimator on a

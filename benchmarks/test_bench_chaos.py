@@ -17,8 +17,7 @@ Methodology: best-of-N wall-clock (min — the least noisy estimator on
 a shared CI runner); the recovery budget is deliberately conservative
 (order-of-magnitude headroom over dev-container numbers) so the gate
 catches real regressions, not scheduler jitter. The result is written
-to ``benchmarks/results/BENCH_chaos.json`` and mirrored at the
-repository root.
+to ``BENCH_chaos.json`` at the repository root.
 """
 
 from __future__ import annotations

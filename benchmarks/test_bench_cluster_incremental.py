@@ -15,8 +15,7 @@ must be delivered within 100 ms.
 
 Methodology: best-of-N wall-clock (min, not mean — the minimum is the
 least noisy estimator on a shared CI runner). The result document is
-written to ``benchmarks/results/BENCH_cluster_incremental.json`` and
-mirrored at the repo root.
+written to ``BENCH_cluster_incremental.json`` at the repo root.
 """
 
 from __future__ import annotations

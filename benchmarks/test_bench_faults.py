@@ -6,8 +6,8 @@ same durable streaming workload twice — once with the registry completely
 empty (the production default) and once with an unrelated failpoint armed
 (the worst realistic disarmed case: every ``fire``/``trigger`` call now
 takes the dict-lookup path instead of the empty fast path) — and gates
-the delta at 2%. The result is written to
-``benchmarks/results/BENCH_faults.json``.
+the delta at 2%. The result is written to ``BENCH_faults.json`` at the
+repository root.
 
 Methodology: best-of-N wall-clock over identical runs (min, not mean —
 the minimum is the least noisy estimator of the achievable time on a

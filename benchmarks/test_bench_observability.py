@@ -12,10 +12,9 @@ overhead fractions the CI gate tracks:
   enable.
 
 Both instrumented arms must stay within the same 5% budget over the
-baseline. The result is written to
-``benchmarks/results/BENCH_observability.json`` (mirrored at the repo
-root) so the perf trajectory of the instrumentation itself is visible
-across PRs.
+baseline. The result is written to ``BENCH_observability.json`` at
+the repo root so the perf trajectory of the instrumentation itself is
+visible across PRs.
 
 Methodology: the arms are interleaved within each round (order rotated
 per round, GC controlled per run) and the gate statistic is the lower
@@ -214,7 +213,7 @@ def test_serve_plane_overhead_within_budget(tmp_path, benchmark):
     """
     import json
 
-    from _results import RESULTS_DIR
+    from _results import REPO_ROOT
     from repro.observability import SLOEngine, TelemetryListener
     from repro.service import (
         FleetConfig,
@@ -277,12 +276,10 @@ def test_serve_plane_overhead_within_budget(tmp_path, benchmark):
 
     benchmark.pedantic(with_plane, rounds=1, iterations=1)
 
-    # Merge into the canonical observability document (the
-    # instrumentation gate above owns the rest of the file).
-    canonical = RESULTS_DIR / "BENCH_observability.json"
-    document = (
-        json.loads(canonical.read_text()) if canonical.exists() else {}
-    )
+    # Merge into the observability document (the instrumentation gate
+    # above owns the rest of the file).
+    path = REPO_ROOT / "BENCH_observability.json"
+    document = json.loads(path.read_text()) if path.exists() else {}
     document["serve_plane"] = {
         "workload": {
             "events": len(events),

@@ -14,8 +14,7 @@ Methodology: best-of-N over identical runs (min time / min p95 — the
 least noisy estimator on a shared CI runner). Gates are deliberately
 conservative (~4x headroom below the measured dev-container numbers) so
 the gate catches order-of-magnitude regressions, not scheduler jitter.
-The result is written to ``benchmarks/results/BENCH_service.json`` and
-mirrored at the repository root.
+The result is written to ``BENCH_service.json`` at the repository root.
 """
 
 from __future__ import annotations

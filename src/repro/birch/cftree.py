@@ -25,7 +25,7 @@ construction by insertion — with the standard mechanics:
 
 The leaf entries ("micro clusters") are then ordered with the same
 summary-level OPTICS as data bubbles via
-:func:`repro.clustering.bubble_optics.optics_over_summaries`.
+:func:`repro.clustering.bubble_optics.order_summaries`.
 """
 
 from __future__ import annotations

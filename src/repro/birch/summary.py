@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..clustering.bubble_optics import optics_over_summaries
-from ..clustering.reachability import ExpandedPlot, ReachabilityPlot
+from ..clustering.bubble_optics import order_summaries
+from ..clustering.reachability import ReachabilityPlot, SummaryExpansion
 from ..sufficient import extent as stats_extent, nn_dist
 from .cftree import CFTree
 
@@ -30,7 +30,7 @@ __all__ = ["CFSummaryResult", "cluster_cf_tree"]
 
 
 @dataclass(frozen=True)
-class CFSummaryResult:
+class CFSummaryResult(SummaryExpansion):
     """OPTICS output over a CF-tree's leaf entries.
 
     Attributes:
@@ -43,9 +43,10 @@ class CFSummaryResult:
     counts: np.ndarray
     virtual_reachability: np.ndarray
 
-    def expanded(self) -> ExpandedPlot:
-        """One plot entry per summarized point (same trick as bubbles)."""
-        return self.plot.expand(self.counts, self.virtual_reachability)
+    @property
+    def bubble_ids(self) -> np.ndarray:
+        """Entry index → itself: leaf entries are identified by position."""
+        return np.arange(self.counts.shape[0], dtype=np.int64)
 
 
 def cluster_cf_tree(
@@ -59,23 +60,16 @@ def cluster_cf_tree(
     entries = tree.leaf_entries()
     if not entries:
         raise ValueError("cannot cluster an empty CF-tree")
-    reps = np.stack([cf.centroid() for cf in entries])
-    extents = np.asarray(
-        [stats_extent(cf.stats) if cf.n > 1 else 0.0 for cf in entries]
+    ordering = order_summaries(
+        np.stack([cf.centroid() for cf in entries]),
+        [stats_extent(cf.stats) if cf.n > 1 else 0.0 for cf in entries],
+        [cf.n for cf in entries],
+        [nn_dist(cf.stats, min_pts) if cf.n > 1 else 0.0 for cf in entries],
+        min_pts=min_pts,
+        eps=eps,
     )
-    counts = np.asarray([cf.n for cf in entries], dtype=np.int64)
-    internal_core = np.asarray(
-        [
-            nn_dist(cf.stats, min_pts) if cf.n > 1 else 0.0
-            for cf in entries
-        ]
-    )
-    plot = optics_over_summaries(
-        reps, extents, counts, internal_core, min_pts=min_pts, eps=eps
-    )
-    virtual = plot.core_distances.copy()
-    fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-    virtual[fallback] = extents[fallback]
     return CFSummaryResult(
-        plot=plot, counts=counts, virtual_reachability=virtual
+        plot=ordering.plot,
+        counts=ordering.counts,
+        virtual_reachability=ordering.virtual,
     )

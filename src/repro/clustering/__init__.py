@@ -18,7 +18,7 @@ from .bubble_optics import (
     BubbleOpticsResult,
     bubble_distance_matrix,
     bubble_distance_rows,
-    optics_over_summaries,
+    order_summaries,
 )
 from .cluster_tree import ClusterNode, ClusterTree
 from .dbscan import DBSCAN
@@ -83,7 +83,7 @@ __all__ = [
     "leaf_labels",
     "local_maxima",
     "majority_bubble_labels",
-    "optics_over_summaries",
+    "order_summaries",
     "render_reachability",
     "render_tree",
     "run_optics",

@@ -34,46 +34,28 @@ extent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..core.bubble_set import BubbleSet
 from ..sufficient import SufficientStatistics
-from .engine import run_optics
-from .reachability import ExpandedPlot, ReachabilityPlot
+from .engine import OpticsWalk, PushBatch
+from .reachability import ReachabilityPlot, SummaryExpansion
 
 __all__ = [
     "BubbleOptics",
     "BubbleOpticsResult",
+    "SummaryOrdering",
     "bubble_distance_matrix",
     "bubble_distance_rows",
-    "optics_over_summaries",
+    "order_summaries",
 ]
 
 #: Row block size for the chunked distance matrix build; bounds the
 #: ``(block, B, d)`` difference tensor without changing any result float
 #: (each row is computed independently).
 _MATRIX_BLOCK_ROWS = 256
-
-
-def _nn_dist_arrays(
-    counts: np.ndarray, extents: np.ndarray, dim: int, k: int
-) -> np.ndarray:
-    """Vectorised ``nnDist(k, B)`` for every bubble; the extent where
-    ``n <= k``.
-
-    Degenerate summaries are sanitized rather than propagated: a NaN or
-    negative extent (float cancellation in the variance term of
-    ``extent``, e.g. from duplicate points) would otherwise leak NaN into
-    every distance involving the bubble and from there into the whole
-    reachability plot. The paper's formula gives 0 for a zero-spread
-    bubble, so non-finite and negative inputs clamp to 0.0.
-    """
-    extents = np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
-    result = extents.copy()
-    mask = counts > k
-    result[mask] = (k / counts[mask]) ** (1.0 / dim) * extents[mask]
-    return result
 
 
 def _distance_rows_from_sq(
@@ -144,20 +126,146 @@ def bubble_distance_matrix(
     return dists
 
 
-def optics_over_summaries(
+def _summary_features(reps, extents, counts, internal_core):
+    """Sanitise ``(reps, extents, counts, internal_core)``; add ``nn1``.
+
+    Degenerate summaries are clamped rather than propagated: a NaN or
+    negative extent (float cancellation in the variance term of
+    ``extent``, e.g. from duplicate points) would otherwise leak NaN into
+    every distance involving the summary and from there into the whole
+    plot. The paper's formula gives 0 for a zero-spread summary, so
+    non-finite and negative extents, and NaN or negative internal cores,
+    clamp to 0.0; a ``+inf`` internal core (never core within itself) is
+    kept. ``nn1`` is ``nnDist(1, ·)``, the extent where ``n <= 1``.
+    """
+    reps = np.ascontiguousarray(reps, dtype=np.float64)
+    extents = np.asarray(extents, dtype=np.float64)
+    extents = np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
+    counts = np.asarray(counts, dtype=np.int64)
+    internal_core = np.asarray(internal_core, dtype=np.float64)
+    internal_core = np.where(
+        np.isnan(internal_core) | (internal_core < 0.0), 0.0, internal_core
+    )
+    nn1 = extents.copy()
+    mask = counts > 1
+    nn1[mask] = (1 / counts[mask]) ** (1.0 / reps.shape[1]) * extents[mask]
+    return reps, extents, counts, internal_core, nn1
+
+
+def _bubble_features(bubbles: BubbleSet, ids, min_pts: int):
+    """Raw ``(reps, extents, counts, internal_core)`` of the bubbles
+    ``ids``, the internal core being ``nnDist(min_pts, ·)``."""
+    members = [bubbles[int(i)] for i in ids]
+    return (
+        np.array([b.rep for b in members], dtype=np.float64).reshape(
+            len(members), bubbles.dim
+        ),
+        np.array([b.extent for b in members], dtype=np.float64),
+        np.array([b.n for b in members], dtype=np.int64),
+        np.array([b.nn_dist(min_pts) for b in members], dtype=np.float64),
+    )
+
+
+def _weighted_cores(dist, rows, counts, internal_core, min_pts, eps):
+    """Core distances of the summaries ``rows`` of distance matrix ``dist``.
+
+    MinPts counts *points*: a summary holding ``min_pts`` points is core
+    within itself at its ``internal_core``. Any other summary's core
+    distance is the value in its row at which the cumulative point count,
+    ascending by distance, first reaches ``min_pts`` (``inf`` if never
+    within ``eps``). That *value* is invariant to how equal distances are
+    ordered — the crossing lands inside an equal-value block wherever its
+    members sit — so an ``argpartition`` head (grown geometrically for
+    rows whose head does not yet hold ``min_pts`` points) gives the same
+    float as a full stable argsort of the row. Beyond-``eps`` entries are
+    masked to ``inf``: they sort last, and a crossing on one reads as
+    "never reached within eps".
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    result = internal_core[rows].astype(np.float64)
+    small = np.flatnonzero(counts[rows] < min_pts)
+    if small.size == 0:
+        return result
+    result[small] = np.inf
+    num_cols = dist.shape[1]
+    vals = dist[rows[small]]
+    if not np.isinf(eps):
+        vals = np.where(vals <= eps, vals, np.inf)
+    pending = np.arange(small.size)
+    head = min(32, num_cols)
+    while True:
+        sub = vals[pending]
+        if head < num_cols:
+            part = np.argpartition(sub, head - 1, axis=1)[:, :head]
+            head_vals = np.take_along_axis(sub, part, axis=1)
+            order = np.argsort(head_vals, axis=1, kind="stable")
+            svals = np.take_along_axis(head_vals, order, axis=1)
+            scols = np.take_along_axis(part, order, axis=1)
+        else:
+            order = np.argsort(sub, axis=1, kind="stable")
+            svals = np.take_along_axis(sub, order, axis=1)
+            scols = order
+        crossed = np.cumsum(counts[scols], axis=1) >= min_pts
+        has = crossed.any(axis=1)
+        done = np.flatnonzero(has)
+        if done.size:
+            first = np.argmax(crossed[done], axis=1)
+            result[small[pending[done]]] = svals[done, first]
+        pending = pending[~has]
+        if head >= num_cols or pending.size == 0:
+            return result  # rows that never cross stay inf
+        head = min(head * 4, num_cols)
+
+
+def _virtual_reachability(cores: np.ndarray, extents: np.ndarray):
+    """Interior points of a summary reach each other at roughly its core
+    distance; the extent stands in where that is undefined or degenerate.
+    """
+    virtual = cores.copy()
+    fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
+    virtual[fallback] = extents[fallback]
+    return virtual
+
+
+@dataclass(frozen=True)
+class SummaryOrdering:
+    """What :func:`order_summaries` derives, per summary index: the
+    sanitised features, the distance matrix ``dist``, the ``cores``, the
+    ``plot``, the walk's push ``trace`` (empty unless recorded) and the
+    ``virtual`` reachability."""
+
+    reps: np.ndarray
+    extents: np.ndarray
+    counts: np.ndarray
+    internal_core: np.ndarray
+    nn1: np.ndarray
+    dist: np.ndarray
+    cores: np.ndarray
+    plot: ReachabilityPlot
+    trace: list[PushBatch]
+    virtual: np.ndarray
+
+
+def order_summaries(
     reps: np.ndarray,
     extents: np.ndarray,
     counts: np.ndarray,
     internal_core: np.ndarray,
     min_pts: int,
     eps: float = np.inf,
-) -> ReachabilityPlot:
+    distances: Callable[..., np.ndarray] = bubble_distance_matrix,
+    record_trace: bool = False,
+) -> SummaryOrdering:
     """OPTICS over arbitrary summaries described by rep/extent/count.
 
-    The generic path shared by data bubbles and BIRCH clustering features:
-    any summary that can state a representative, a spatial extent, a point
-    count and an internal ``nnDist(MinPts)`` estimate can be ordered with
-    the bubble distance function.
+    The one OPTICS-over-summaries kernel, behind :meth:`BubbleOptics.fit`,
+    the :class:`~repro.clustering.incremental.ClusterCache` cold fit and
+    rebuild, the anytime stages and BIRCH's
+    :func:`~repro.birch.summary.cluster_cf_tree`: features are sanitised
+    once, distances use the bubble distance, cores the weighted rule, the
+    walk is :class:`~repro.clustering.engine.OpticsWalk`, and the virtual
+    reachability falls back to the extent. Zero summaries give an empty
+    ordering, not an error ("cluster me now" on a fresh tenant).
 
     Args:
         reps: ``(K, d)`` representatives.
@@ -167,52 +275,44 @@ def optics_over_summaries(
             when the summary alone holds ``min_pts`` points.
         min_pts: MinPts in points.
         eps: generating distance.
+        distances: builds the distance matrix from the sanitised
+            ``(reps, extents, nn1)``; the cache's rebuild passes one that
+            reuses the entries of surviving bubbles.
+        record_trace: record the push trace the cache's repair replays.
     """
-    reps = np.ascontiguousarray(reps, dtype=np.float64)
-    extents = np.asarray(extents, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.int64)
-    internal_core = np.asarray(internal_core, dtype=np.float64)
+    reps, extents, counts, internal_core, nn1 = _summary_features(
+        reps, extents, counts, internal_core
+    )
     num = reps.shape[0]
-    if num == 0:
-        # Nothing to order is a legal state for service-facing callers (a
-        # "cluster me now" query against a fresh tenant): an empty plot,
-        # not an error. run_optics itself still rejects zero objects.
-        empty = np.empty(0)
-        return ReachabilityPlot(
-            ordering=np.empty(0, dtype=np.int64),
-            reachability=empty,
-            core_distances=empty,
+    dist = distances(reps, extents, nn1)
+    cores = _weighted_cores(
+        dist, np.arange(num), counts, internal_core, min_pts, eps
+    )
+    if num:
+        walk = OpticsWalk(
+            num,
+            lambda obj: dist[obj],
+            lambda obj, _dists: float(cores[obj]),
+            eps=eps,
+            record_trace=record_trace,
         )
-    dim = reps.shape[1]
-    # Degenerate summaries (duplicate points → zero/NaN extent, NaN
-    # internal core from variance cancellation) must not leak NaN into
-    # the plot; clamp to the paper's zero-spread semantics. A +inf
-    # internal core is meaningful (never core within itself) and kept.
-    extents = np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
-    internal_core = np.where(np.isnan(internal_core), 0.0, internal_core)
-    internal_core = np.where(internal_core < 0.0, 0.0, internal_core)
-    nn1 = _nn_dist_arrays(counts, extents, dim, k=1)
-    dist_matrix = bubble_distance_matrix(reps, extents, nn1)
-
-    def distances_from(obj: int) -> np.ndarray:
-        return dist_matrix[obj]
-
-    def core_distance(obj: int, dists: np.ndarray) -> float:
-        if counts[obj] >= min_pts:
-            return float(internal_core[obj])
-        within = dists <= eps
-        order = np.argsort(dists[within], kind="stable")
-        cumulative = np.cumsum(counts[within][order])
-        reached = np.flatnonzero(cumulative >= min_pts)
-        if reached.size == 0:
-            return np.inf
-        return float(dists[within][order][reached[0]])
-
-    return run_optics(num, distances_from, core_distance, eps=eps)
+        plot = walk.run()
+        trace = walk.trace or []
+    else:
+        plot = ReachabilityPlot(
+            ordering=np.empty(0, dtype=np.int64),
+            reachability=np.empty(0),
+            core_distances=np.empty(0),
+        )
+        trace = []
+    return SummaryOrdering(
+        reps, extents, counts, internal_core, nn1, dist, cores, plot,
+        trace, _virtual_reachability(cores, extents),
+    )
 
 
 @dataclass(frozen=True)
-class BubbleOpticsResult:
+class BubbleOpticsResult(SummaryExpansion):
     """A bubble-level cluster ordering plus what is needed to expand it.
 
     Attributes:
@@ -228,20 +328,6 @@ class BubbleOpticsResult:
     bubble_ids: np.ndarray
     counts: np.ndarray
     virtual_reachability: np.ndarray
-
-    def expanded(self) -> ExpandedPlot:
-        """One plot entry per summarized point, attributed to bubble ids.
-
-        The entry order follows the bubble ordering; each bubble's first
-        entry carries its actual reachability, the rest its virtual
-        reachability — the comparability trick of Breunig et al. 2001 that
-        makes cluster sizes in the bubble plot match the point plot.
-        """
-        raw = self.plot.expand(self.counts, self.virtual_reachability)
-        return ExpandedPlot(
-            reachability=raw.reachability,
-            source=self.bubble_ids[raw.source],
-        )
 
 
 class BubbleOptics:
@@ -284,38 +370,16 @@ class BubbleOptics:
         if not non_empty:
             raise ValueError("cannot cluster a summary with no points")
         bubble_ids = np.asarray(non_empty, dtype=np.int64)
-
-        reps = np.stack([bubbles[i].rep for i in non_empty])
-        extents = np.asarray(
-            [bubbles[i].extent for i in non_empty], dtype=np.float64
-        )
-        counts = np.asarray(
-            [bubbles[i].n for i in non_empty], dtype=np.int64
-        )
-        internal_core = np.asarray(
-            [bubbles[i].nn_dist(self._min_pts) for i in non_empty],
-            dtype=np.float64,
-        )
-        plot = optics_over_summaries(
-            reps,
-            extents,
-            counts,
-            internal_core,
+        ordering = order_summaries(
+            *_bubble_features(bubbles, bubble_ids, self._min_pts),
             min_pts=self._min_pts,
             eps=self._eps,
         )
-
-        # Interior points of a bubble reach each other at roughly the
-        # bubble's core distance; fall back to the extent when the core
-        # distance is undefined or degenerate.
-        virtual = plot.core_distances.copy()
-        fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-        virtual[fallback] = extents[fallback]
         return BubbleOpticsResult(
-            plot=plot,
+            plot=ordering.plot,
             bubble_ids=bubble_ids,
-            counts=counts,
-            virtual_reachability=virtual,
+            counts=ordering.counts,
+            virtual_reachability=ordering.virtual,
         )
 
     @staticmethod

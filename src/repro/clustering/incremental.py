@@ -56,7 +56,7 @@ window slides.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,11 +64,19 @@ import numpy as np
 from ..core.bubble_set import BubbleSet
 from ..geometry.counting import DistanceCounter
 from ..observability.spans import maybe_span
-from .bubble_optics import _nn_dist_arrays, bubble_distance_rows
+from .bubble_optics import (
+    SummaryOrdering,
+    _bubble_features,
+    _summary_features,
+    _virtual_reachability,
+    _weighted_cores,
+    bubble_distance_rows,
+    order_summaries,
+)
 from .cluster_tree import ClusterNode, ClusterTree
 from .engine import OpticsWalk, PushBatch
 from .extraction import extract_cluster_tree
-from .reachability import ExpandedPlot, ReachabilityPlot
+from .reachability import ReachabilityPlot, SummaryExpansion
 
 __all__ = [
     "ClusterCache",
@@ -80,63 +88,6 @@ __all__ = [
 ]
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# Weighted core distances, many rows at once (satellite: hoist the
-# per-object sort work into the version-keyed cache's vectorised kernel)
-# ----------------------------------------------------------------------
-def _weighted_cores(
-    rows: np.ndarray, counts: np.ndarray, min_pts: int, eps: float
-) -> np.ndarray:
-    """Weighted core distances for a batch of distance rows.
-
-    Float-for-float equal to the per-object computation in
-    :func:`~repro.clustering.bubble_optics.optics_over_summaries`: the
-    core distance is the row value at which the cumulative point count
-    (ascending by distance) first reaches ``min_pts``. That *value* is
-    invariant to how equal distances are ordered — the cumulative count
-    crossing lands inside an equal-value block wherever its members sit —
-    so an ``argpartition`` head (grown geometrically for rows whose head
-    does not yet hold ``min_pts`` points) computes the same float as the
-    reference's full stable argsort. Beyond-``eps`` entries are masked to
-    ``inf``: they sort last, and a crossing that lands on one reproduces
-    the reference's "never reached within eps → inf".
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    num_rows, num_cols = rows.shape
-    result = np.full(num_rows, np.inf)
-    if num_rows == 0 or num_cols == 0:
-        return result
-    vals = rows if np.isinf(eps) else np.where(rows <= eps, rows, np.inf)
-    pending = np.arange(num_rows)
-    head = min(32, num_cols)
-    while True:
-        sub = vals[pending]
-        if head < num_cols:
-            part = np.argpartition(sub, head - 1, axis=1)[:, :head]
-            head_vals = np.take_along_axis(sub, part, axis=1)
-            order = np.argsort(head_vals, axis=1, kind="stable")
-            svals = np.take_along_axis(head_vals, order, axis=1)
-            scols = np.take_along_axis(part, order, axis=1)
-        else:
-            order = np.argsort(sub, axis=1, kind="stable")
-            svals = np.take_along_axis(sub, order, axis=1)
-            scols = order
-        crossed = np.cumsum(counts[scols], axis=1) >= min_pts
-        has = crossed.any(axis=1)
-        done = np.flatnonzero(has)
-        if done.size:
-            first = np.argmax(crossed[done], axis=1)
-            result[pending[done]] = svals[done, first]
-        if head >= num_cols:
-            return result  # rows that never cross stay inf
-        pending = pending[~has]
-        if pending.size == 0:
-            return result
-        head = min(head * 4, num_cols)
 
 
 def _flatten_trace(
@@ -161,18 +112,6 @@ def _flatten_trace(
         targets = np.empty(0, dtype=np.int64)
         values = np.empty(0, dtype=np.float64)
     return targets, values, offsets
-
-
-def _sanitize_extent(extent: float) -> float:
-    """Clamp a degenerate extent exactly like ``optics_over_summaries``."""
-    return extent if np.isfinite(extent) and extent > 0.0 else 0.0
-
-
-def _sanitize_internal_core(value: float) -> float:
-    """NaN/negative internal cores clamp to 0; ``inf`` stays meaningful."""
-    if np.isnan(value) or value < 0.0:
-        return 0.0
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -201,23 +140,28 @@ class _CacheState:
         "tree",
     )
 
-    def __init__(self) -> None:
-        self.version: int = -1
-        self.bubble_ids = np.empty(0, dtype=np.int64)
-        self.id_to_compact: dict[int, int] = {}
-        self.reps = np.empty((0, 0))
-        self.extents = np.empty(0)
-        self.counts = np.empty(0, dtype=np.int64)
-        self.internal_core = np.empty(0)
-        self.nn1 = np.empty(0)
-        self.dist = np.empty((0, 0))
-        self.cores = np.empty(0)
-        self.plot: ReachabilityPlot | None = None
-        self.trace: list[PushBatch] = []
-        self.push_idx = np.empty(0, dtype=np.int64)
-        self.push_val = np.empty(0, dtype=np.float64)
-        self.push_off = np.zeros(1, dtype=np.int64)
-        self.virtual = np.empty(0)
+    def __init__(
+        self, version: int, bubble_ids: np.ndarray, ordering: SummaryOrdering
+    ) -> None:
+        self.version = version
+        self.bubble_ids = bubble_ids
+        self.id_to_compact: dict[int, int] = {
+            int(bid): c for c, bid in enumerate(bubble_ids)
+        }
+        # The kernel's arrays, updated in place by the repair.
+        self.reps = ordering.reps
+        self.extents = ordering.extents
+        self.counts = ordering.counts
+        self.internal_core = ordering.internal_core
+        self.nn1 = ordering.nn1
+        self.dist = ordering.dist
+        self.cores = ordering.cores
+        self.plot = ordering.plot
+        self.trace = ordering.trace
+        self.push_idx, self.push_val, self.push_off = _flatten_trace(
+            ordering.trace
+        )
+        self.virtual = ordering.virtual
         self.tree: ClusterTree | None = None
 
     @property
@@ -283,6 +227,9 @@ class ClusterCache:
         self._eps = float(eps)
         self._counter = counter if counter is not None else DistanceCounter()
         self._state: _CacheState | None = None
+        #: ``(bubbles, version, source, non_empty ids)`` from the last
+        #: :meth:`classify`, until a refresh consumes it.
+        self._plan: tuple | None = None
         self.hits = 0
         self.repairs = 0
         self.rebuilds = 0
@@ -305,10 +252,37 @@ class ClusterCache:
     def invalidate(self) -> None:
         """Drop the cached state entirely."""
         self._state = None
+        self._plan = None
 
     # ------------------------------------------------------------------
     # Refresh
     # ------------------------------------------------------------------
+    def classify(self, bubbles: BubbleSet) -> str:
+        """How the next :meth:`refresh` of ``bubbles`` will be served.
+
+        One of ``"hit"``, ``"repair"``, ``"rebuild"`` or ``"cold"``. The
+        decision (and the non-empty id set it needed) is kept until that
+        refresh consumes it, so asking first costs the refresh nothing.
+        """
+        version = bubbles.version
+        plan = self._plan
+        if plan is not None and plan[0] is bubbles and plan[1] == version:
+            return plan[2]
+        state = self._state
+        non_empty = None
+        if state is not None and state.version == version:
+            source = "hit"
+        else:
+            non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
+            if state is None:
+                source = "cold"
+            elif np.array_equal(state.bubble_ids, non_empty):
+                source = "repair"
+            else:
+                source = "rebuild"
+        self._plan = (bubbles, version, source, non_empty)
+        return source
+
     def refresh(
         self,
         bubbles: BubbleSet,
@@ -325,27 +299,15 @@ class ClusterCache:
                 second witness.
 
         Returns:
-            ``(state, source)`` with source one of ``"hit"``,
-            ``"repair"``, ``"rebuild"``, ``"cold"``.
+            ``(state, source)`` with source as :meth:`classify` reports.
         """
-        version = bubbles.version
+        source = self.classify(bubbles)
+        non_empty = self._plan[3]
+        self._plan = None
         state = self._state
-        if state is not None and state.version == version:
+        if source == "hit":
             self.hits += 1
-            return state, "hit"
-
-        non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
-        if (
-            state is not None
-            and state.plot is not None
-            and np.array_equal(state.bubble_ids, non_empty)
-        ):
-            touched = bubbles.touched_since(state.version)
-            touched.update(int(i) for i in extra_touched)
-            self._repair(state, bubbles, touched)
-            state.version = version
-            self.repairs += 1
-            return state, "repair"
+            return state, source
 
         touched = (
             bubbles.touched_since(state.version)
@@ -353,35 +315,33 @@ class ClusterCache:
             else set()
         )
         touched.update(int(i) for i in extra_touched)
-        fresh = self._rebuild(state, bubbles, non_empty, touched)
-        fresh.version = version
-        self._state = fresh
-        if state is None:
-            self.cold_fits += 1
-            return fresh, "cold"
-        self.rebuilds += 1
-        return fresh, "rebuild"
+        if source == "repair":
+            self._repair(state, bubbles, touched)
+            state.version = bubbles.version
+            self.repairs += 1
+            return state, source
 
-    # ------------------------------------------------------------------
-    # Feature gathering
-    # ------------------------------------------------------------------
+        self._state = self._rebuild(state, bubbles, non_empty, touched)
+        if source == "cold":
+            self.cold_fits += 1
+        else:
+            self.rebuilds += 1
+        return self._state, source
+
     def _refresh_features(
         self, state: _CacheState, bubbles: BubbleSet, compact: np.ndarray
     ) -> None:
-        """Re-gather rep/extent/count/internal-core for ``compact`` rows."""
-        for c in compact:
-            bubble = bubbles[int(state.bubble_ids[c])]
-            state.reps[c] = bubble.rep
-            state.extents[c] = _sanitize_extent(float(bubble.extent))
-            state.counts[c] = bubble.n
-            state.internal_core[c] = _sanitize_internal_core(
-                float(bubble.nn_dist(self._min_pts))
-            )
-        state.nn1[compact] = _nn_dist_arrays(
-            state.counts[compact],
+        """Re-gather the sanitised features of the ``compact`` rows."""
+        (
+            state.reps[compact],
             state.extents[compact],
-            state.reps.shape[1],
-            k=1,
+            state.counts[compact],
+            state.internal_core[compact],
+            state.nn1[compact],
+        ) = _summary_features(
+            *_bubble_features(
+                bubbles, state.bubble_ids[compact], self._min_pts
+            )
         )
 
     # ------------------------------------------------------------------
@@ -394,33 +354,9 @@ class ClusterCache:
         non_empty: np.ndarray,
         touched: set[int],
     ) -> _CacheState:
-        state = _CacheState()
-        state.bubble_ids = non_empty
-        state.id_to_compact = {
-            int(bid): c for c, bid in enumerate(non_empty)
-        }
-        num = state.num
-        if num == 0:
-            state.plot = ReachabilityPlot(
-                ordering=np.empty(0, dtype=np.int64),
-                reachability=np.empty(0),
-                core_distances=np.empty(0),
-            )
-            state.trace = []
-            state.virtual = np.empty(0)
-            return state
-
-        state.reps = np.empty((num, bubbles.dim), dtype=np.float64)
-        state.extents = np.empty(num)
-        state.counts = np.empty(num, dtype=np.int64)
-        state.internal_core = np.empty(num)
-        state.nn1 = np.empty(num)
-        self._refresh_features(state, bubbles, np.arange(num))
-
-        # Distance matrix: reuse entries between surviving *untouched*
-        # bubbles from the old matrix (bit-identical, per-pair values);
-        # recompute rows for inserted and touched bubbles.
-        state.dist = np.empty((num, num), dtype=np.float64)
+        """A cold fit through the kernel, reusing the distance entries
+        between surviving untouched bubbles (bit-identical, per-pair
+        values); rows of inserted and touched bubbles are recomputed."""
         reuse_new = np.empty(0, dtype=np.int64)
         reuse_old = np.empty(0, dtype=np.int64)
         if old is not None and old.num > 0:
@@ -433,52 +369,36 @@ class ClusterCache:
             if len(pairs) >= 2:
                 reuse_new = np.asarray([p[0] for p in pairs], dtype=np.int64)
                 reuse_old = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        reuse_set = set(int(c) for c in reuse_new)
-        fresh_rows = np.asarray(
-            [c for c in range(num) if c not in reuse_set], dtype=np.int64
-        )
-        if reuse_new.size:
-            state.dist[np.ix_(reuse_new, reuse_new)] = old.dist[
-                np.ix_(reuse_old, reuse_old)
-            ]
-        if fresh_rows.size:
-            rows = bubble_distance_rows(
-                fresh_rows, state.reps, state.extents, state.nn1
-            )
-            state.dist[fresh_rows, :] = rows
-            state.dist[:, fresh_rows] = rows.T
-        total_pairs = num * (num - 1) // 2
-        reused_pairs = reuse_new.size * (reuse_new.size - 1) // 2
-        self._counter.record_computed(total_pairs - reused_pairs)
-        self._counter.record_pruned(reused_pairs)
 
-        # Core distances up front: a bubble holding MinPts points is core
-        # within itself; the rest go through the vectorised weighted
-        # kernel over their (cached) distance rows.
-        cores = np.where(
-            state.counts >= self._min_pts, state.internal_core, np.inf
-        )
-        small = np.flatnonzero(state.counts < self._min_pts)
-        if small.size:
-            cores[small] = _weighted_cores(
-                state.dist[small], state.counts, self._min_pts, self._eps
+        def distances(reps, extents, nn1):
+            num = reps.shape[0]
+            dist = np.empty((num, num), dtype=np.float64)
+            fresh = np.ones(num, dtype=bool)
+            fresh[reuse_new] = False
+            fresh_rows = np.flatnonzero(fresh)
+            if reuse_new.size:
+                dist[np.ix_(reuse_new, reuse_new)] = old.dist[
+                    np.ix_(reuse_old, reuse_old)
+                ]
+            if fresh_rows.size:
+                rows = bubble_distance_rows(fresh_rows, reps, extents, nn1)
+                dist[fresh_rows, :] = rows
+                dist[:, fresh_rows] = rows.T
+            reused_pairs = reuse_new.size * (reuse_new.size - 1) // 2
+            self._counter.record_computed(
+                num * (num - 1) // 2 - reused_pairs
             )
-        state.cores = cores
+            self._counter.record_pruned(reused_pairs)
+            return dist
 
-        walk = OpticsWalk(
-            num,
-            lambda obj: state.dist[obj],
-            lambda obj, dists: float(cores[obj]),
+        ordering = order_summaries(
+            *_bubble_features(bubbles, non_empty, self._min_pts),
+            min_pts=self._min_pts,
             eps=self._eps,
+            distances=distances,
             record_trace=True,
         )
-        state.plot = walk.run()
-        state.trace = walk.trace if walk.trace is not None else []
-        state.push_idx, state.push_val, state.push_off = _flatten_trace(
-            state.trace
-        )
-        state.virtual = self._virtual(state)
-        return state
+        return _CacheState(bubbles.version, non_empty, ordering)
 
     # ------------------------------------------------------------------
     # Repair (same id set)
@@ -530,14 +450,14 @@ class ClusterCache:
         touched_mask[touched_c] = True
         small = state.counts < self._min_pts
         # Touched rows: anything about them may have changed.
-        t_big = touched_c[~small[touched_c]]
-        t_small = touched_c[small[touched_c]]
-        if t_big.size:
-            state.cores[t_big] = state.internal_core[t_big]
-        if t_small.size:
-            state.cores[t_small] = _weighted_cores(
-                state.dist[t_small], state.counts, self._min_pts, self._eps
-            )
+        state.cores[touched_c] = _weighted_cores(
+            state.dist,
+            touched_c,
+            state.counts,
+            state.internal_core,
+            self._min_pts,
+            self._eps,
+        )
         # Untouched small rows: only their touched columns moved. If
         # every changed column value — old *and* new — sits strictly
         # above the old core, the (value, count) multiset up to the old
@@ -550,7 +470,12 @@ class ClusterCache:
             redo = cand[~(changed_min > old_cores[cand])]
             if redo.size:
                 state.cores[redo] = _weighted_cores(
-                    state.dist[redo], state.counts, self._min_pts, self._eps
+                    state.dist,
+                    redo,
+                    state.counts,
+                    state.internal_core,
+                    self._min_pts,
+                    self._eps,
                 )
 
         dirty = touched_mask.copy()
@@ -564,7 +489,7 @@ class ClusterCache:
         state.push_idx, state.push_val, state.push_off = _flatten_trace(
             trace
         )
-        state.virtual = self._virtual(state)
+        state.virtual = _virtual_reachability(state.cores, state.extents)
         state.tree = None
         self.last_splice = splice
 
@@ -1050,13 +975,6 @@ class ClusterCache:
             SpliceStats(spliced=spliced, live=live),
         )
 
-    def _virtual(self, state: _CacheState) -> np.ndarray:
-        """Virtual reachability per compact index (expansion estimate)."""
-        virtual = state.cores.copy()
-        fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-        virtual[fallback] = state.extents[fallback]
-        return virtual
-
 
 # ----------------------------------------------------------------------
 # Lineage
@@ -1217,7 +1135,7 @@ class StageResult:
 
 
 @dataclass(frozen=True)
-class ClusterFit:
+class ClusterFit(SummaryExpansion):
     """One clustering answer: plot + tree + provenance.
 
     Attributes:
@@ -1251,14 +1169,6 @@ class ClusterFit:
     @property
     def num_bubbles(self) -> int:
         return int(self.bubble_ids.shape[0])
-
-    def expanded(self) -> ExpandedPlot:
-        """One plot entry per summarized point, attributed to bubble ids."""
-        raw = self.plot.expand(self.counts, self.virtual_reachability)
-        return ExpandedPlot(
-            reachability=raw.reachability,
-            source=self.bubble_ids[raw.source],
-        )
 
 
 def _empty_tree() -> ClusterTree:
@@ -1497,38 +1407,19 @@ class IncrementalClusterer:
         started: float,
     ) -> ClusterFit:
         cache = self._cache
-        state = cache.state
-        version = bubbles.version
-        if state is not None and state.version == version:
-            cache.hits += 1
-            return self._fit_from_state(state, "hit")
-
-        anytime_eligible = deadline_seconds is not None and not (
-            state is not None
-            and state.plot is not None
-            and np.array_equal(
-                state.bubble_ids,
-                np.asarray(bubbles.non_empty_ids(), dtype=np.int64),
-            )
-        )
-        if anytime_eligible:
+        source = cache.classify(bubbles)
+        if source == "hit":
+            return self._fit_from_state(*cache.refresh(bubbles))
+        if deadline_seconds is not None and source != "repair":
             return self._fit_anytime(bubbles, deadline_seconds, started)
 
         extra = tuple(self._callback_touched)
-        repairable = (
-            state is not None
-            and state.plot is not None
-            and np.array_equal(
-                state.bubble_ids,
-                np.asarray(bubbles.non_empty_ids(), dtype=np.int64),
-            )
-        )
-        if repairable:
-            with maybe_span(
-                self._obs, "cluster_repair", touched=len(extra)
-            ):
-                state, source = cache.refresh(bubbles, extra_touched=extra)
-        else:
+        # The repair span covers repairs only; rebuilds run span-less.
+        with maybe_span(
+            self._obs if source == "repair" else None,
+            "cluster_repair",
+            touched=len(extra),
+        ):
             state, source = cache.refresh(bubbles, extra_touched=extra)
         self._callback_touched.clear()
         return self._fit_from_state(state, source)
@@ -1591,9 +1482,7 @@ class IncrementalClusterer:
             state, source = self._cache.refresh(bubbles)
             return self._fit_from_state(state, source)
 
-        counts_all = np.asarray(
-            [bubbles[int(i)].n for i in non_empty], dtype=np.int64
-        )
+        counts_all = bubbles.counts()[non_empty]
         total_points = int(counts_all.sum())
         # Largest bubbles first: each stage's subset nests in the next,
         # so covered-points quality is monotone by construction.
@@ -1616,9 +1505,7 @@ class IncrementalClusterer:
             else:
                 subset = np.sort(by_weight[:size])
                 with maybe_span(self._obs, "cluster_stage", size=size):
-                    fit = self._subset_fit(
-                        bubbles, non_empty[subset], counts_all[subset]
-                    )
+                    fit = self._subset_fit(bubbles, non_empty[subset])
                 quality = (
                     float(counts_all[subset].sum()) / total_points
                     if total_points
@@ -1647,53 +1534,27 @@ class IncrementalClusterer:
         )
 
     def _subset_fit(
-        self,
-        bubbles: BubbleSet,
-        subset_ids: np.ndarray,
-        subset_counts: np.ndarray,
+        self, bubbles: BubbleSet, subset_ids: np.ndarray
     ) -> ClusterFit:
         """A complete cold fit of one bubble subset (no caching)."""
-        num = int(subset_ids.shape[0])
-        reps = np.stack([bubbles[int(i)].rep for i in subset_ids])
-        extents = np.asarray(
-            [
-                _sanitize_extent(float(bubbles[int(i)].extent))
-                for i in subset_ids
-            ]
-        )
-        internal_core = np.asarray(
-            [
-                _sanitize_internal_core(
-                    float(bubbles[int(i)].nn_dist(self.min_pts))
-                )
-                for i in subset_ids
-            ]
-        )
-        from .bubble_optics import optics_over_summaries
-
-        plot = optics_over_summaries(
-            reps,
-            extents,
-            subset_counts,
-            internal_core,
+        ordering = order_summaries(
+            *_bubble_features(bubbles, subset_ids, self.min_pts),
             min_pts=self.min_pts,
             eps=self._cache.eps,
         )
+        num = int(subset_ids.shape[0])
         self._cache._counter.record_computed(num * (num - 1) // 2)
-        virtual = plot.core_distances.copy()
-        fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-        virtual[fallback] = extents[fallback]
         tree = extract_cluster_tree(
-            plot.reachability,
+            ordering.plot.reachability,
             min_size=self._min_size,
             significance=self._significance,
         )
         return ClusterFit(
             version=-1,
             bubble_ids=subset_ids,
-            counts=subset_counts,
-            virtual_reachability=virtual,
-            plot=plot,
+            counts=ordering.counts,
+            virtual_reachability=ordering.virtual,
+            plot=ordering.plot,
             tree=tree,
             source="anytime",
             quality=0.0,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReachabilityPlot", "ExpandedPlot"]
+__all__ = ["ExpandedPlot", "ReachabilityPlot", "SummaryExpansion"]
 
 
 @dataclass(frozen=True)
@@ -117,4 +117,33 @@ class ReachabilityPlot:
         return ExpandedPlot(
             reachability=np.concatenate(chunks_reach),
             source=np.concatenate(chunks_src),
+        )
+
+
+class SummaryExpansion:
+    """``expanded()`` for a summary-level ordering.
+
+    Mixed into the result types of OPTICS over summaries (bubbles and
+    clustering features), which provide ``plot`` (over compact indices),
+    ``counts`` and ``virtual_reachability`` (per compact index) and
+    ``bubble_ids`` (compact index → summary id).
+    """
+
+    plot: ReachabilityPlot
+    counts: np.ndarray
+    virtual_reachability: np.ndarray
+    bubble_ids: np.ndarray
+
+    def expanded(self) -> ExpandedPlot:
+        """One plot entry per summarized point, attributed to summary ids.
+
+        The entry order follows the summary ordering; each summary's first
+        entry carries its actual reachability, the rest its virtual
+        reachability — the comparability trick of Breunig et al. 2001 that
+        makes cluster sizes in the summary plot match the point plot.
+        """
+        raw = self.plot.expand(self.counts, self.virtual_reachability)
+        return ExpandedPlot(
+            reachability=raw.reachability,
+            source=self.bubble_ids[raw.source],
         )

@@ -12,19 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.bubble_optics import BubbleOptics
-from repro.clustering.engine import OpticsWalk
+from repro.birch import CFTree, cluster_cf_tree
+from repro.clustering.bubble_optics import (
+    BubbleOptics,
+    bubble_distance_matrix,
+    order_summaries,
+)
+from repro.clustering.engine import OpticsWalk, run_optics
 from repro.clustering.incremental import (
     ClusterCache,
     ClusterLineage,
     IncrementalClusterer,
 )
+from repro.core.bubble_set import BubbleSet
 from repro.core.builder import BubbleBuilder, BubbleConfig
 from repro.database.store import PointStore
 from repro.geometry.counting import DistanceCounter
+from repro.sufficient import extent as stats_extent, nn_dist
 
 
 def build_bubbles(
@@ -100,18 +107,6 @@ class TestCacheSources:
         assert state2 is state
         assert cache.hits == 1 and cache.cold_fits == 1
 
-    def test_cold_matches_bubble_optics_reference(self):
-        bubbles = build_bubbles(24, 3, 900)
-        state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
-        ref = BubbleOptics(min_pts=MIN_PTS).fit(bubbles)
-        assert np.array_equal(state.plot.ordering, ref.plot.ordering)
-        assert np.array_equal(
-            state.plot.reachability, ref.plot.reachability
-        )
-        assert np.array_equal(
-            state.plot.core_distances, ref.plot.core_distances
-        )
-
     def test_hit_computes_zero_distances(self):
         bubbles = build_bubbles(24, 3, 900)
         counter = DistanceCounter()
@@ -151,6 +146,238 @@ class TestCacheSources:
             ClusterCache(eps=0.0)
         with pytest.raises(ValueError):
             IncrementalClusterer(min_size=0)
+
+
+def reference_optics_over_summaries(
+    reps, extents, counts, internal_core, min_pts, eps=np.inf
+):
+    """Test-only oracle: the per-object OPTICS over summaries.
+
+    The implementation the shared kernel replaced, kept verbatim:
+    vectorised sanitisation, per-object cores by a stable argsort of the
+    full distance row, then the one-shot :func:`run_optics`. Returns the
+    plot and the virtual reachability (cores falling back to the
+    sanitised extent).
+    """
+    reps = np.ascontiguousarray(reps, dtype=np.float64)
+    extents = np.asarray(extents, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    internal_core = np.asarray(internal_core, dtype=np.float64)
+    dim = reps.shape[1]
+    extents = np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
+    internal_core = np.where(np.isnan(internal_core), 0.0, internal_core)
+    internal_core = np.where(internal_core < 0.0, 0.0, internal_core)
+    nn1 = extents.copy()
+    mask = counts > 1
+    nn1[mask] = (1 / counts[mask]) ** (1.0 / dim) * extents[mask]
+    dist_matrix = bubble_distance_matrix(reps, extents, nn1)
+
+    def distances_from(obj):
+        return dist_matrix[obj]
+
+    def core_distance(obj, dists):
+        if counts[obj] >= min_pts:
+            return float(internal_core[obj])
+        within = dists <= eps
+        order = np.argsort(dists[within], kind="stable")
+        cumulative = np.cumsum(counts[within][order])
+        reached = np.flatnonzero(cumulative >= min_pts)
+        if reached.size == 0:
+            return np.inf
+        return float(dists[within][order][reached[0]])
+
+    plot = run_optics(reps.shape[0], distances_from, core_distance, eps=eps)
+    virtual = plot.core_distances.copy()
+    fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
+    virtual[fallback] = extents[fallback]
+    return plot, virtual
+
+
+def reference_bubbles(bubbles, ids, min_pts, eps):
+    """The oracle over the bubbles ``ids``, features gathered by hand."""
+    return reference_optics_over_summaries(
+        np.stack([bubbles[int(i)].rep for i in ids]),
+        [bubbles[int(i)].extent for i in ids],
+        [bubbles[int(i)].n for i in ids],
+        [bubbles[int(i)].nn_dist(min_pts) for i in ids],
+        min_pts,
+        eps,
+    )
+
+
+def assert_matches_reference(plot, cores, virtual, reference):
+    ref_plot, ref_virtual = reference
+    assert np.array_equal(plot.ordering, ref_plot.ordering)
+    assert np.array_equal(plot.reachability, ref_plot.reachability)
+    assert np.array_equal(plot.core_distances, ref_plot.core_distances)
+    assert np.array_equal(cores, ref_plot.core_distances)
+    assert np.array_equal(virtual, ref_virtual)
+
+
+def random_summary_points(draw_seed, num_bubbles, dim, duplicates, emptied):
+    """Per-bubble point blocks: Gaussian blobs, some all-duplicate, some
+    absorbed and then released again (emptied)."""
+    rng = np.random.default_rng(draw_seed)
+    blocks = []
+    for b in range(num_bubbles):
+        size = int(rng.integers(1, 30))
+        center = rng.normal(0.0, 5.0, size=dim)
+        if b < duplicates:
+            block = np.repeat(center[None, :], size, axis=0)
+        else:
+            block = center + rng.normal(0.0, rng.uniform(0.05, 2.0),
+                                        size=(size, dim))
+        blocks.append(block)
+    return blocks, set(range(num_bubbles - emptied, num_bubbles))
+
+
+def bubble_set_from_blocks(blocks, emptied, dim):
+    bubbles = BubbleSet(dim)
+    next_pid = 0
+    for b, block in enumerate(blocks):
+        bubble = bubbles.add_bubble(block[0])
+        ids = np.arange(next_pid, next_pid + len(block))
+        next_pid += len(block)
+        bubble.absorb_many(ids, block)
+        if b in emptied:
+            bubble.release_many(ids, block)
+    return bubbles
+
+
+class TestKernelOracle:
+    """Every entry point of the OPTICS-over-summaries kernel equals the
+    per-object reference bit for bit."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        draw_seed=st.integers(0, 2**16),
+        num_bubbles=st.integers(1, 24),
+        dim=st.integers(1, 8),
+        duplicates=st.integers(0, 3),
+        emptied=st.integers(0, 3),
+        min_pts=st.sampled_from([1, 3, 12, 25, 10_000]),
+        eps=st.sampled_from([np.inf, 0.5, 2.0, 8.0]),
+    )
+    @example(  # a single bubble, MinPts above its count
+        draw_seed=0, num_bubbles=1, dim=1, duplicates=0, emptied=0,
+        min_pts=10_000, eps=np.inf,
+    )
+    @example(  # all duplicates, finite eps, emptied bubbles
+        draw_seed=1, num_bubbles=6, dim=8, duplicates=6, emptied=2,
+        min_pts=3, eps=0.5,
+    )
+    def test_all_entry_points_match_reference(
+        self, draw_seed, num_bubbles, dim, duplicates, emptied, min_pts, eps
+    ):
+        emptied = min(emptied, num_bubbles - 1)
+        blocks, emptied_ids = random_summary_points(
+            draw_seed, num_bubbles, dim, duplicates, emptied
+        )
+        bubbles = bubble_set_from_blocks(blocks, emptied_ids, dim)
+        ids = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
+        reference = reference_bubbles(bubbles, ids, min_pts, eps)
+
+        result = BubbleOptics(min_pts=min_pts, eps=eps).fit(bubbles)
+        assert np.array_equal(result.bubble_ids, ids)
+        assert_matches_reference(
+            result.plot,
+            result.plot.core_distances,
+            result.virtual_reachability,
+            reference,
+        )
+
+        state, source = ClusterCache(min_pts=min_pts, eps=eps).refresh(
+            bubbles
+        )
+        assert source == "cold"
+        assert np.array_equal(state.bubble_ids, ids)
+        assert_matches_reference(
+            state.plot, state.cores, state.virtual, reference
+        )
+
+        clusterer = IncrementalClusterer(
+            min_pts=min_pts, eps=eps, clock=FakeClock(1e-9)
+        )
+        clusterer.FIRST_STAGE_BUBBLES = 2  # subset stages before the last
+        fit = clusterer.fit(bubbles, deadline_seconds=1e9)
+        assert fit.quality == 1.0
+        assert np.array_equal(fit.bubble_ids, ids)
+        assert_matches_reference(
+            fit.plot,
+            fit.plot.core_distances,
+            fit.virtual_reachability,
+            reference,
+        )
+        stage = clusterer._subset_fit(bubbles, ids)
+        assert_matches_reference(
+            stage.plot,
+            stage.plot.core_distances,
+            stage.virtual_reachability,
+            reference,
+        )
+        subset = ids[::2]
+        stage = clusterer._subset_fit(bubbles, subset)
+        assert_matches_reference(
+            stage.plot,
+            stage.plot.core_distances,
+            stage.virtual_reachability,
+            reference_bubbles(bubbles, subset, min_pts, eps),
+        )
+
+        tree = CFTree(threshold=0.5)
+        for block in blocks:
+            tree.insert_many(block)
+        entries = tree.leaf_entries()
+        cf_result = cluster_cf_tree(tree, min_pts=min_pts, eps=eps)
+        assert_matches_reference(
+            cf_result.plot,
+            cf_result.plot.core_distances,
+            cf_result.virtual_reachability,
+            reference_optics_over_summaries(
+                np.stack([cf.centroid() for cf in entries]),
+                [stats_extent(cf.stats) if cf.n > 1 else 0.0
+                 for cf in entries],
+                [cf.n for cf in entries],
+                [nn_dist(cf.stats, min_pts) if cf.n > 1 else 0.0
+                 for cf in entries],
+                min_pts,
+                eps,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        ("min_pts", "eps"), [(3, np.inf), (25, 1.0), (100, np.inf)]
+    )
+    def test_degenerate_features_match_reference(self, min_pts, eps):
+        # NaN / negative / infinite extents and internal cores, and a
+        # zero core on a bubble with positive extent (virtual fallback).
+        features = (
+            np.array(
+                [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [5.0, 5.0],
+                 [5.1, 5.0], [0.5, 0.5]]
+            ),
+            np.array([np.nan, -1.0, 0.3, np.inf, 0.2, 0.4]),
+            np.array([30, 1, 40, 30, 2, 30]),
+            np.array([0.0, np.nan, -2.0, np.inf, 0.1, 0.0]),
+        )
+        ordering = order_summaries(*features, min_pts=min_pts, eps=eps)
+        assert_matches_reference(
+            ordering.plot,
+            ordering.cores,
+            ordering.virtual,
+            reference_optics_over_summaries(*features, min_pts, eps),
+        )
+
+    def test_zero_summaries_give_an_empty_plot_in_the_cache(self):
+        bubbles = bubble_set_from_blocks([np.zeros((3, 2))], {0}, 2)
+        state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
+        assert state.num == 0 and len(state.plot) == 0
+        with pytest.raises(ValueError):
+            BubbleOptics(min_pts=MIN_PTS).fit(bubbles)
 
 
 class TestRepairEquivalence:
@@ -408,6 +635,23 @@ class TestClustererWiring:
         assert stats["last_quality"] == 1.0
         assert stats["last_leaves"] >= 1
         assert 0.0 < stats["last_spliced_fraction"] <= 1.0
+
+    def test_each_fit_decides_its_source_once(self):
+        bubbles = build_bubbles(32, 3, 1200)
+        calls = []
+        scan = bubbles.non_empty_ids
+        bubbles.non_empty_ids = lambda: calls.append(1) or scan()
+        clusterer = IncrementalClusterer(min_pts=MIN_PTS)
+        rng = np.random.default_rng(7)
+        next_pid = [10_000_000]
+        for source in ("cold", "hit", "repair"):
+            if source == "repair":
+                apply_move(bubbles, 3, 0, rng, next_pid)
+            calls.clear()
+            assert clusterer.cache.classify(bubbles) == source
+            assert clusterer.fit(bubbles).source == source
+            # One id-set scan per non-hit fit, none for a hit.
+            assert len(calls) == (0 if source == "hit" else 1)
 
     def test_repair_equivalence_survives_maintainer_batches(self):
         """End-to-end: maintainer-applied batches, then repair ≡ cold."""
