@@ -8,6 +8,11 @@ facts are asserted here and recorded in
 ``BENCH_assignment_batch.json`` (repository root) so the engine's perf
 trajectory and its equivalence guarantee stay visible across PRs.
 
+The same workload also runs :class:`NaiveAssigner`, the simplest exact
+alternative, and records ``naive_vs_batch`` = naive seconds ÷ TI batch
+seconds (above 1 means the TI batch kernel is faster). The ratio is
+reported, not gated.
+
 Methodology: best-of-N wall-clock (min, the least noisy estimator on a
 shared CI runner); the scalar arm runs fewer rounds because it is the
 slow side by construction.
@@ -20,7 +25,7 @@ import time
 import numpy as np
 from _results import write_bench_result
 
-from repro.core import TriangleInequalityAssigner
+from repro.core import NaiveAssigner, TriangleInequalityAssigner
 from repro.geometry import DistanceCounter
 
 NUM_POINTS = 10_000
@@ -70,6 +75,13 @@ def _batch_arm(seeds, points):
     return time.perf_counter() - started, result, assigner
 
 
+def _naive_arm(seeds, points):
+    assigner = NaiveAssigner(seeds, DistanceCounter())
+    started = time.perf_counter()
+    result = assigner.assign_many(points)
+    return time.perf_counter() - started, result
+
+
 def test_batch_engine_speedup_gate(benchmark):
     """assign_many >= 10x faster than the scalar loop, bit-identically."""
     points, seeds = make_workload(
@@ -89,10 +101,16 @@ def test_batch_engine_speedup_gate(benchmark):
         elapsed, batch_result, batch_assigner = _batch_arm(seeds, points)
         batch_time = min(batch_time, elapsed)
 
+    naive_time = float("inf")
+    for _ in range(BATCH_ROUNDS):
+        elapsed, naive_result = _naive_arm(seeds, points)
+        naive_time = min(naive_time, elapsed)
+
     # Equivalence first: a fast kernel that drifts is worthless.
     assert batch_result.tolist() == scalar_result.tolist()
     assert batch_assigner.assign_computed == scalar_assigner.assign_computed
     assert batch_assigner.assign_pruned == scalar_assigner.assign_pruned
+    assert naive_result.tolist() == batch_result.tolist()
 
     speedup = scalar_time / batch_time
 
@@ -109,13 +127,21 @@ def test_batch_engine_speedup_gate(benchmark):
             "dim": 2,
             "scalar_rounds": SCALAR_ROUNDS,
             "batch_rounds": BATCH_ROUNDS,
+            "naive_rounds": BATCH_ROUNDS,
         },
         "scalar_seconds": scalar_time,
         "batch_seconds": batch_time,
+        "naive_seconds": naive_time,
         "speedup": speedup,
         "speedup_gate": SPEEDUP_GATE,
+        "naive_vs_batch": naive_time / batch_time,
+        "naive_vs_batch_base": (
+            "naive_seconds / batch_seconds; above 1 means the TI batch "
+            "kernel is faster, below 1 means NaiveAssigner is"
+        ),
         "equivalence": {
             "indices_identical": True,
+            "naive_indices_identical": True,
             "computed_distances": batch_assigner.assign_computed,
             "pruned_distances": batch_assigner.assign_pruned,
             "pruned_fraction": batch_assigner.pruned_fraction,

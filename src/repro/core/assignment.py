@@ -33,18 +33,8 @@ matrix) across consecutive batch assignments, invalidating only when the
 :class:`~repro.core.bubble_set.BubbleSet` actually mutates; the maintainers
 use it so a quiet summary never pays the seed matrix twice.
 
-Two optional layers sit under/around the batch engine:
-
-* ``use_seed_index=True`` builds a :class:`~repro.core.seed_index.SeedIndex`
-  over the seeds (lazily, on the first batch) and lets the lockstep loop
-  *skip* the exact distance to probes the index proves cannot win —
-  assignments, RNG stream and total accounting stay bit-identical to the
-  plain batch kernel, with skipped probes moving from *computed* into
-  *pruned* (sub-total in :attr:`assign_index_pruned`).
-* ``workers=N`` with ``N >= 1`` runs the lockstep blocks on a forked
-  worker pool under per-block RNG substreams (see
-  :mod:`repro.core.parallel`); ``workers=0`` remains the serial,
-  main-RNG, bit-reproducible reference path.
+There is one triangle-inequality assignment path: serial, drawing its
+probe order from the main RNG, bit-reproducible.
 """
 
 from __future__ import annotations
@@ -55,8 +45,6 @@ from ..geometry import DistanceCounter, pairwise
 from ..geometry.distance import row_norms
 from ..observability.spans import maybe_span
 from ..types import Point, PointMatrix
-from .parallel import run_blocks
-from .seed_index import SeedIndex
 
 __all__ = [
     "Assigner",
@@ -266,7 +254,7 @@ class TriangleInequalityAssigner(Assigner):
     per-block workspaces are reused across blocks and calls. Assignments
     are bit-identical to the scalar loop and the computed/pruned totals —
     accumulated per block, recorded once per block — match the scalar
-    accounting exactly (see :meth:`_assign_block` for why).
+    accounting exactly (see :meth:`_assign_block_core` for why).
 
     **Setup accounting contract.** :attr:`setup_computed` *always* reports
     the ``B·(B-1)/2`` cost of the seed matrix, in both ``count_setup``
@@ -274,32 +262,6 @@ class TriangleInequalityAssigner(Assigner):
     recorded into the shared ``counter``. Figure-10 aggregation relies on
     attribute and counter agreeing when ``count_setup=True`` and on the
     counter staying at zero (pre-assignment) when ``count_setup=False``.
-
-    **Spatial skip layer.** With ``use_seed_index=True`` the engine
-    builds a :class:`~repro.core.seed_index.SeedIndex` on the first
-    batch and asks it, per block, for each point's candidate mask and a
-    gate radius ``g`` bounding every non-candidate's distance from
-    below. A probe is skipped — no exact distance — exactly when it is
-    a non-candidate *and* the row's ``minDist <= g``: the skipped
-    distance is ``>= g >= minDist`` and the update rule is a strict
-    ``<``, so the probe could not have changed ``current``, ``minDist``
-    or any later Lemma-1 test. Probing order (hence the RNG stream),
-    assignments and tie-breaks are therefore bit-identical to the plain
-    batch kernel; each skip converts one *computed* distance into a
-    *pruned* one, so total accounting is conserved and the computed
-    count is provably ``<=`` the plain kernel's on every input. The
-    scalar :meth:`assign` never consults the index — it stays the
-    pure Figure 2 reference the batch engine is tested against.
-
-    **Parallel blocks.** With ``workers >= 1``, :meth:`assign_many`
-    draws one 64-bit entropy value from the main RNG (a single draw per
-    call, regardless of size) and runs its lockstep blocks as
-    independent tasks under per-block substreams — results are a pure
-    function of the block partition and that draw, so every
-    ``workers >= 1`` value produces identical output and worker count
-    only changes wall-clock (see :mod:`repro.core.parallel`).
-    ``workers=0`` is the serial reference: blocks consume the main RNG
-    in point order, bit-identical to the scalar loop.
 
     Args:
         locations: ``(B, d)`` seed matrix.
@@ -312,20 +274,8 @@ class TriangleInequalityAssigner(Assigner):
         block_size: points processed per lockstep block by
             :meth:`assign_many`; ``None`` (the default) sizes blocks
             adaptively from a fixed workspace element budget. The
-            blocking never changes results with ``workers=0`` — only
-            workspace size and per-block overhead. With ``workers >= 1``
-            results are a pure function of the partition (still
-            independent of worker count).
-        use_seed_index: build a spatial candidate index and let the
-            batch engine skip provably hopeless probes (see the class
-            docstring). Off by default — the plain kernel is the
-            scalar-parity reference.
-        index_k: candidate-set size for the seed index; ``None`` uses
-            :func:`~repro.core.seed_index.default_candidate_count`.
-        index_backend: ``"auto"`` / ``"kdtree"`` / ``"grid"`` — see
-            :class:`~repro.core.seed_index.SeedIndex`.
-        workers: worker-pool size for :meth:`assign_many`; ``0`` (the
-            default) is the serial bit-reproducible reference path.
+            blocking never changes results — only workspace size and
+            per-block overhead.
     """
 
     def __init__(
@@ -336,25 +286,13 @@ class TriangleInequalityAssigner(Assigner):
         count_setup: bool = True,
         block_size: int | None = None,
         obs=None,
-        use_seed_index: bool = False,
-        index_k: int | None = None,
-        index_backend: str = "auto",
-        workers: int = 0,
     ) -> None:
         super().__init__(locations, counter, obs=obs)
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self._rng = rng if rng is not None else np.random.default_rng()
         self._seed_dists = pairwise(self._locations)
         self._block_size = None if block_size is None else int(block_size)
-        self._use_seed_index = bool(use_seed_index)
-        self._index_k = None if index_k is None else int(index_k)
-        self._index_backend = str(index_backend)
-        self._seed_index: SeedIndex | None = None
-        self._workers = int(workers)
-        self._assign_index_pruned = 0
         self._ws_cand: np.ndarray | None = None
         self._ws_active: np.ndarray | None = None
         self._ws_cursor: np.ndarray | None = None
@@ -371,26 +309,6 @@ class TriangleInequalityAssigner(Assigner):
         ``count_setup=False`` kept the cost out of the shared counter.
         """
         return self._setup_computed
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool size used by :meth:`assign_many` (0 = serial)."""
-        return self._workers
-
-    @property
-    def assign_index_pruned(self) -> int:
-        """Probes skipped by the spatial index (subset of pruned).
-
-        Every skip is also counted in :attr:`assign_pruned` — the index
-        converts computed distances into pruned ones without changing
-        the computed + pruned total.
-        """
-        return self._assign_index_pruned
-
-    @property
-    def seed_index(self) -> SeedIndex | None:
-        """The lazily built spatial index, or ``None`` before first use."""
-        return self._seed_index
 
     def assign(self, point: Point) -> int:
         locations = self._locations
@@ -440,8 +358,7 @@ class TriangleInequalityAssigner(Assigner):
         num_points = points.shape[0]
         result = np.empty(num_points, dtype=np.int64)
         if num_points == 0:
-            # No RNG draw in either mode: empty batches are invisible
-            # to both the main stream and the substream contract.
+            # No RNG draw: empty batches are invisible to the stream.
             return result
         num = self._locations.shape[0]
         if num == 1:
@@ -451,17 +368,9 @@ class TriangleInequalityAssigner(Assigner):
             self._assign_computed += num_points
             result[:] = 0
             return result
-        if self._use_seed_index and self._seed_index is None:
-            self._seed_index = SeedIndex(
-                self._locations,
-                k=self._index_k,
-                backend=self._index_backend,
-            )
         block = self._block_size
         if block is None:
             block = max(DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS // num)
-        if self._workers >= 1:
-            return self._assign_many_parallel(points, result, block)
         for start in range(0, num_points, block):
             chunk = points[start : start + block]
             with maybe_span(
@@ -471,68 +380,6 @@ class TriangleInequalityAssigner(Assigner):
                     chunk
                 )
         return result
-
-    def _assign_many_parallel(
-        self, points: np.ndarray, result: np.ndarray, block: int
-    ) -> np.ndarray:
-        """Run the lockstep blocks as parallel tasks and merge in order.
-
-        One 64-bit entropy draw from the main RNG per call — never more,
-        never fewer — keeps the main stream's advance independent of
-        input size, block partition and worker count; each block then
-        runs under its :func:`~repro.core.parallel.block_rng` substream.
-        Children cannot touch the parent's counters, so the per-block
-        (computed, pruned, index-pruned) tallies travel back with the
-        indices and are recorded here once, in block order.
-        """
-        num_points = points.shape[0]
-        blocks = [
-            (start, min(start + block, num_points))
-            for start in range(0, num_points, block)
-        ]
-        entropy = int(
-            self._rng.integers(0, 2**64, dtype=np.uint64)
-        )
-        with maybe_span(
-            self.obs,
-            "assign_parallel",
-            points=num_points,
-            workers=self._workers,
-            blocks=len(blocks),
-        ):
-            outputs = run_blocks(
-                self._assign_block_task,
-                points,
-                blocks,
-                entropy,
-                self._workers,
-            )
-        computed = 0
-        lemma_pruned = 0
-        index_pruned = 0
-        for (start, stop), out in zip(blocks, outputs):
-            indices, block_computed, block_lemma, block_index = out
-            result[start:stop] = indices
-            computed += block_computed
-            lemma_pruned += block_lemma
-            index_pruned += block_index
-        self._record_block(computed, lemma_pruned, index_pruned)
-        return result
-
-    def _record_block(
-        self, computed: int, lemma_pruned: int, index_pruned: int
-    ) -> None:
-        """Fold one block's tallies into the counter and attributes.
-
-        Index skips count as pruned — same conservation law as Lemma 1:
-        ``computed + pruned`` per point always sums to ``B``.
-        """
-        pruned = lemma_pruned + index_pruned
-        self._counter.record_computed(int(computed))
-        self._counter.record_pruned(int(pruned))
-        self._assign_computed += int(computed)
-        self._assign_pruned += int(pruned)
-        self._assign_index_pruned += int(index_pruned)
 
     def _workspace(
         self, rows: int
@@ -550,46 +397,19 @@ class TriangleInequalityAssigner(Assigner):
         )
 
     def _assign_block(self, points: np.ndarray) -> np.ndarray:
-        """Serial per-block wrapper: main RNG, immediate accounting."""
-        member, gate = self._index_candidates(points)
-        indices, computed, lemma_pruned, index_pruned = (
-            self._assign_block_core(
-                points, self._rng, member, gate
-            )
-        )
+        """One lockstep block under the main RNG, accounted at once."""
+        indices, computed, pruned = self._assign_block_core(points)
         # Block-granular accounting: totals identical to per-point
         # scalar recording, at two counter calls per block instead of 2m.
-        self._record_block(computed, lemma_pruned, index_pruned)
+        self._counter.record_computed(computed)
+        self._counter.record_pruned(pruned)
+        self._assign_computed += computed
+        self._assign_pruned += pruned
         return indices
 
-    def _assign_block_task(
-        self, points: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, int, int, int]:
-        """Pure per-block task for the parallel runner.
-
-        Runs in a forked child (or inline under ``workers=1``): derives
-        the block's candidates, runs the lockstep core under the given
-        substream and returns the tallies instead of recording them —
-        the parent owns the shared counter.
-        """
-        member, gate = self._index_candidates(points)
-        return self._assign_block_core(points, rng, member, gate)
-
-    def _index_candidates(
-        self, points: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-block (membership, gate) from the seed index, if any."""
-        if self._seed_index is None:
-            return None, None
-        return self._seed_index.candidates(points)
-
     def _assign_block_core(
-        self,
-        points: np.ndarray,
-        rng: np.random.Generator,
-        member: np.ndarray | None = None,
-        gate: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
+        self, points: np.ndarray
+    ) -> tuple[np.ndarray, int, int]:
         """Figure 2 in lockstep over one block of points.
 
         Candidate bookkeeping is *by seed value*: each point carries a
@@ -618,31 +438,9 @@ class TriangleInequalityAssigner(Assigner):
         Assignments, accounting and RNG consumption are untouched by the
         skip.
 
-        **Spatial collapse (``member``/``gate`` given).** The moment a
-        row's ``minDist`` drops to ``<= gate``, every one of its
-        still-active non-member seeds is removed in one masked AND and
-        tallied as index-pruned. Each removed seed is provably inert:
-        its exact distance is ``>= gate >= minDist``, so its probe could
-        not improve the row under the strict ``<`` update, and a probe
-        that does not improve ``minDist`` changes nothing else — not
-        the probing order of the other candidates (permutations are
-        pre-drawn for the whole block), not the Lemma-1 dynamics (only
-        improvements re-enter the prune pass), not the RNG. Removing it
-        early therefore leaves assignments and the RNG stream
-        bit-identical to the plain kernel while skipping the probe's
-        distance *and* its share of cursor stepping and prune-pass
-        work — which is why the collapse outruns a probe-by-probe skip.
-        Accounting is conserved: per point ``computed + lemma_pruned +
-        index_pruned`` still sums to ``B``, and the computed count is
-        ``<=`` the plain kernel's (every collapsed seed would have cost
-        either a computed probe or a Lemma-1 prune there).
-
         Returns:
-            ``(indices, computed, lemma_pruned, index_pruned)`` — the
-            block's assignments plus its accounting tallies. The caller
-            records them (serial: immediately; parallel: merged in the
-            parent), keeping this core pure enough to run in a forked
-            worker against copy-on-write state.
+            ``(indices, computed, pruned)`` — the block's assignments
+            plus its accounting tallies, which the caller records.
         """
         rows = points.shape[0]
         num = self._locations.shape[0]
@@ -657,6 +455,7 @@ class TriangleInequalityAssigner(Assigner):
         # rows in place consumes the identical draw sequence while
         # skipping one allocation and copy per point.
         cand[:, :] = np.arange(num)
+        rng = self._rng
         for i in range(rows):
             rng.shuffle(cand[i])
 
@@ -667,35 +466,15 @@ class TriangleInequalityAssigner(Assigner):
         min_dist = row_norms(locations[current] - points)
         computed = rows
         pruned = 0
-        index_pruned = 0
 
         active[:, :] = True
         active[row_iota, current] = False
         cursor[:] = num - 2
         alive = row_iota
         to_prune = alive
-        # Rows that have not yet collapsed to their spatial candidate
-        # set; None when no index is in play.
-        uncollapsed = None if member is None else np.ones(rows, dtype=bool)
 
         while True:
             if to_prune.size:
-                if uncollapsed is not None:
-                    # Spatial collapse: rows whose minDist just reached
-                    # the gate drop every active non-member at once
-                    # (each is provably non-improving; see above).
-                    gated = to_prune[
-                        uncollapsed[to_prune]
-                        & (min_dist[to_prune] <= gate[to_prune])
-                    ]
-                    if gated.size:
-                        mem = member[gated]
-                        act = active[gated]
-                        index_pruned += int(
-                            np.count_nonzero(act & ~mem)
-                        )
-                        active[gated] = act & mem
-                        uncollapsed[gated] = False
                 # Lemma 1 by value: members failing the current test leave
                 # the mask; already-removed seeds stay removed (AND is
                 # monotone) and are never recounted.
@@ -738,7 +517,7 @@ class TriangleInequalityAssigner(Assigner):
             min_dist[improved] = dists[better]
             to_prune = improved
 
-        return current.copy(), int(computed), int(pruned), index_pruned
+        return current.copy(), int(computed), int(pruned)
 
 
 class AssignerCache:
@@ -781,8 +560,6 @@ class AssignerCache:
         rng: np.random.Generator | None = None,
         active_ids: np.ndarray | list | None = None,
         obs=None,
-        use_seed_index: bool = False,
-        workers: int = 0,
     ) -> Assigner:
         """The cached assigner, rebuilt only when the bubble set changed.
 
@@ -798,12 +575,6 @@ class AssignerCache:
                 miss) so block spans follow the caller; deliberately NOT
                 part of the cache key — instrumentation must never change
                 cache behaviour.
-            use_seed_index, workers: as for :func:`make_assigner`; part
-                of the cache key, so flipping either rebuilds the
-                assigner. A cache hit also reuses the assigner's lazily
-                built :class:`~repro.core.seed_index.SeedIndex` — this
-                is how the index stays keyed on ``bubbles.version``
-                without its own invalidation machinery.
         """
         key = (
             bubbles.version,
@@ -811,8 +582,6 @@ class AssignerCache:
             if active_ids is None
             else tuple(int(i) for i in active_ids),
             bool(use_triangle_inequality),
-            bool(use_seed_index),
-            int(workers),
         )
         if self._assigner is not None and key == self._key:
             self.hits += 1
@@ -827,8 +596,6 @@ class AssignerCache:
             use_triangle_inequality=use_triangle_inequality,
             rng=rng,
             obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
         )
         self._key = key
         self.misses += 1
@@ -841,23 +608,13 @@ def make_assigner(
     use_triangle_inequality: bool = True,
     rng: np.random.Generator | None = None,
     obs=None,
-    use_seed_index: bool = False,
-    workers: int = 0,
 ) -> Assigner:
     """Factory selecting the pruning or naive assigner.
 
     Single-location sets short-circuit to the naive assigner — with one
-    seed there is nothing to prune (``use_seed_index`` and ``workers``
-    are meaningless there and are ignored).
+    seed there is nothing to prune.
     """
     locations = np.asarray(locations, dtype=np.float64)
     if use_triangle_inequality and locations.shape[0] > 1:
-        return TriangleInequalityAssigner(
-            locations,
-            counter,
-            rng,
-            obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
-        )
+        return TriangleInequalityAssigner(locations, counter, rng, obs=obs)
     return NaiveAssigner(locations, counter, obs=obs)

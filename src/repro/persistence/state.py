@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import DonorPolicy, MaintenanceConfig, SplitStrategy
+from ..exceptions import SnapshotError
 
 __all__ = ["SummarizerState", "config_to_dict", "config_from_dict"]
 
@@ -43,18 +44,31 @@ def config_to_dict(config: MaintenanceConfig) -> dict:
         "split_strategy": config.split_strategy.value,
         "use_triangle_inequality": config.use_triangle_inequality,
         "seed": config.seed,
-        "use_seed_index": config.use_seed_index,
-        "assign_workers": config.assign_workers,
     }
 
 
 def config_from_dict(data: dict) -> MaintenanceConfig:
     """Inverse of :func:`config_to_dict`.
 
-    The assignment-engine fields default when absent so snapshots
-    written before they existed keep recovering (to the behaviour they
-    were recorded with: serial, no spatial index).
+    Older snapshots and manifests may record two removed assignment
+    options. A recorded ``use_seed_index`` is ignored: the spatial index
+    gave assignments and RNG streams bit-identical to the serial kernel.
+    A recorded ``assign_workers >= 1`` is refused: that mode drew one
+    value from the main RNG per call and ran per-block substreams, so
+    the serial kernel cannot replay its WAL tail bit-identically.
+
+    Raises:
+        SnapshotError: the state was recorded with ``assign_workers >= 1``.
     """
+    workers = int(data.get("assign_workers", 0))
+    if workers >= 1:
+        raise SnapshotError(
+            "state was recorded with the removed option "
+            f"assign_workers={workers} (per-block RNG substreams); this "
+            "build has only the serial assignment kernel and cannot "
+            "replay it bit-identically. Rebuild the state from the "
+            "source stream."
+        )
     return MaintenanceConfig(
         probability=float(data["probability"]),
         rebuild_rounds=int(data["rebuild_rounds"]),
@@ -62,8 +76,6 @@ def config_from_dict(data: dict) -> MaintenanceConfig:
         split_strategy=SplitStrategy(data["split_strategy"]),
         use_triangle_inequality=bool(data["use_triangle_inequality"]),
         seed=None if data["seed"] is None else int(data["seed"]),
-        use_seed_index=bool(data.get("use_seed_index", False)),
-        assign_workers=int(data.get("assign_workers", 0)),
     )
 
 

@@ -92,18 +92,9 @@ class FleetConfig:
 
     The first block (``dim`` … ``on_bad_point``) is durable — persisted
     in ``fleet.json`` and applied to every shard's summarizer. The
-    second block (``queue_points`` … ``assign_workers``) is runtime-only
+    second block (``queue_points`` … ``trace``) is runtime-only
     service tuning: it shapes queues and threading, never the durable
     history, so it may change freely between runs of the same fleet.
-
-    ``use_seed_index`` / ``assign_workers`` configure the assignment
-    engine of shards *created* by this fleet run (the shard's
-    summarizer persists them in its own snapshots, so a later
-    ``recover`` replays each shard with the mode it was built with).
-    ``assign_workers`` defaults to 0 — forking assignment workers from
-    under a multithreaded flusher pool is an explicit opt-in; the
-    spatial index is thread-neutral but stays off for parity with the
-    single-process default.
     """
 
     dim: int = 2
@@ -118,8 +109,6 @@ class FleetConfig:
     batch_points: int = 64
     backpressure: str = "block"
     workers: int = 4
-    use_seed_index: bool = False
-    assign_workers: int = 0
     #: Runtime-only: write each shard's span events to
     #: ``tenants/<tenant>/trace.jsonl`` and stamp fleet trace ids onto
     #: every micro-batch, enabling cross-shard trace queries
@@ -131,10 +120,6 @@ class FleetConfig:
         if self.workers < 0:
             raise InvalidConfigError(
                 f"workers must be >= 0, got {self.workers}"
-            )
-        if self.assign_workers < 0:
-            raise InvalidConfigError(
-                f"assign_workers must be >= 0, got {self.assign_workers}"
             )
         if self.backpressure not in BACKPRESSURE_POLICIES:
             raise InvalidConfigError(
@@ -481,14 +466,9 @@ class FleetManager:
             dim=config.dim,
             window_size=config.window_size,
             points_per_bubble=config.points_per_bubble,
-            # The per-tenant seed plus the fleet's assignment-engine
-            # options; persisted by the shard's own snapshots, so a
-            # recovered shard replays with the mode it was built with.
-            config=MaintenanceConfig(
-                seed=shard_seed,
-                use_seed_index=config.use_seed_index,
-                assign_workers=config.assign_workers,
-            ),
+            # The per-tenant seed; persisted by the shard's own
+            # snapshots, so a recovered shard replays with it.
+            config=MaintenanceConfig(seed=shard_seed),
             seed=shard_seed,
             checkpoint_every=config.checkpoint_every,
             fsync=config.fsync,

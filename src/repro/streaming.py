@@ -461,16 +461,8 @@ class SlidingWindowSummarizer:
         num_bubbles = max(
             2, self._store.size // self._points_per_bubble
         )
-        # The bootstrap build honours the maintenance config's
-        # assignment-engine options (spatial index, worker pool) so an
-        # opted-in summarizer is accelerated from its very first scan.
         builder = BubbleBuilder(
-            BubbleConfig(
-                num_bubbles=num_bubbles,
-                seed=self._seed,
-                use_seed_index=self._config.use_seed_index,
-                assign_workers=self._config.assign_workers,
-            ),
+            BubbleConfig(num_bubbles=num_bubbles, seed=self._seed),
             counter=self._counter,
         )
         before = self._counter.snapshot()
@@ -788,6 +780,9 @@ class DurableSummarizer:
         Raises:
             PersistenceError: ``wal_dir`` holds no durable state, or the
                 snapshot and log cannot be reconciled.
+            SnapshotError: the state was recorded under a removed
+                assignment mode (see
+                :func:`~repro.persistence.config_from_dict`).
             WalCorruptionError: the log is damaged before its tail.
         """
         # Refuse before touching the directory: probing a manifest-less
@@ -805,6 +800,9 @@ class DurableSummarizer:
         probe = CheckpointManager(wal_dir, fsync=fsync)
         try:
             manifest = probe.read_manifest()
+            # Refuse state recorded under a removed assignment mode
+            # before snapshot loading could quarantine sound snapshots.
+            config_from_dict(manifest["config"])
         except PersistenceError:
             probe.close()
             raise

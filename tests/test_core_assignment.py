@@ -82,6 +82,15 @@ class TestNaiveAssigner:
         bulk = assigner.assign_many(points)
         for i, point in enumerate(points):
             assert bulk[i] == assigner.assign(point), f"row {i}"
+        # The TI batch kernel breaks the same ties as its scalar loop
+        # under an identically seeded RNG.
+        batch, scalar = (
+            TriangleInequalityAssigner(seeds, rng=np.random.default_rng(0))
+            for _ in range(2)
+        )
+        assert batch.assign_many(points).tolist() == [
+            scalar.assign(p) for p in points
+        ]
 
     def test_assign_many_parity_far_from_origin(self):
         # The expanded norm trick loses the most precision when points sit

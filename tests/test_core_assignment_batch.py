@@ -56,6 +56,7 @@ class TestBatchScalarEquivalence:
             (50, 25, 3, 10.0),  # generic
             (200, 40, 2, 0.3),  # dense overlap: little pruning
             (128, 16, 8, 50.0),  # well-separated: heavy pruning
+            (96, 24, 128, 10.0),  # high dimension
             (1030, 10, 2, 10.0),  # crosses the default block boundary
         ],
     )
@@ -73,6 +74,11 @@ class TestBatchScalarEquivalence:
         assert batch.assign_pruned == scalar.assign_pruned
         assert batch.counter.computed == scalar.counter.computed
         assert batch.counter.pruned == scalar.counter.pruned
+        # Every seed is either probed or discharged by Lemma 1.
+        assert (
+            batch.assign_computed + batch.assign_pruned
+            == num_points * num_seeds
+        )
         # Same RNG stream position: further draws stay in lockstep.
         assert (
             batch._rng.bit_generator.state == scalar._rng.bit_generator.state

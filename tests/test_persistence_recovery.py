@@ -3,6 +3,8 @@ uninterrupted run bit-for-bit."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,15 @@ from repro import (
     DurableSummarizer,
     PersistenceError,
     SlidingWindowSummarizer,
+    SnapshotError,
     WalCorruptionError,
 )
-from repro.persistence import CheckpointManager, recover_state
+from repro.persistence import (
+    CheckpointManager,
+    config_to_dict,
+    read_snapshot,
+    recover_state,
+)
 
 DIM = 2
 WINDOW = 800
@@ -229,3 +237,86 @@ class TestKillAndRecover:
         assert [r.seq for r in recovered.tail] == [5, 6, 7]
         assert recovered.last_seq == 8
         manager.close()
+
+
+def write_legacy_config(state_dir, use_seed_index, assign_workers):
+    """Rewrite the manifest and every snapshot in the older format.
+
+    Builds that still had the spatial seed index and assignment workers
+    recorded both options in every config dict they persisted.
+    """
+    legacy = {
+        "use_seed_index": use_seed_index,
+        "assign_workers": assign_workers,
+    }
+    manifest_path = state_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["config"].update(legacy)
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    snapshots = sorted(state_dir.glob("snapshot-*.npz"))
+    for path in snapshots:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays["meta_json"].tobytes().decode("utf-8"))
+        meta["config"].update(legacy)
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez_compressed(path, **arrays)
+    return snapshots
+
+
+def crashed_state_dir(tmp_path, chunks, crash_after=9):
+    """A durable run crashed with a snapshot plus a WAL tail to replay."""
+    state_dir = tmp_path / "state"
+    stream = DurableSummarizer(
+        state_dir,
+        dim=DIM,
+        window_size=WINDOW,
+        points_per_bubble=PPB,
+        seed=SEED,
+        checkpoint_every=CHECKPOINT_EVERY,
+        fsync=False,
+    )
+    for chunk in chunks[:crash_after]:
+        stream.append(chunk)
+    stream.checkpoints.close()
+    return state_dir
+
+
+class TestLegacyAssignmentOptions:
+    def test_recorded_seed_index_is_ignored(
+        self, tmp_path, chunks, uninterrupted
+    ):
+        state_dir = crashed_state_dir(tmp_path, chunks)
+        assert write_legacy_config(state_dir, True, 0)
+        recovered = DurableSummarizer.recover(state_dir, fsync=False)
+        for chunk in chunks[9:]:
+            recovered.append(chunk)
+        got = recovered.inner.capture_state(NUM_CHUNKS)
+        want = uninterrupted.capture_state(NUM_CHUNKS)
+        for name in vars(want):
+            left, right = getattr(got, name), getattr(want, name)
+            if isinstance(right, np.ndarray):
+                assert np.array_equal(left, right), name
+            else:
+                assert left == right, name
+        written = config_to_dict(recovered.inner.config)
+        assert "use_seed_index" not in written
+        assert "assign_workers" not in written
+        recovered.close()
+
+    def test_recorded_assign_workers_is_refused(self, tmp_path, chunks):
+        state_dir = crashed_state_dir(tmp_path, chunks)
+        snapshots = write_legacy_config(state_dir, False, 2)
+        assert snapshots
+        with pytest.raises(SnapshotError, match="assign_workers=2"):
+            read_snapshot(snapshots[0])
+        with pytest.raises(SnapshotError, match="assign_workers=2"):
+            DurableSummarizer.recover(state_dir, fsync=False)
+        # Refused, not quarantined: the snapshots stay where they were.
+        assert sorted(state_dir.glob("snapshot-*.npz")) == snapshots
+        assert not list(state_dir.glob("*.corrupt"))
